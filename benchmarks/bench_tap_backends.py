@@ -21,9 +21,9 @@ import time
 
 from history import append_history
 
-from repro.analysis.experiments import _links_of
 from repro.core.tap import approximate_tap
 from repro.graphs.families import make_family_instance
+from repro.runtime.plan import SolverPlan
 
 N = 2000
 SEED = 1
@@ -38,9 +38,8 @@ BENCH_PATH = os.path.join(
 
 
 def _instance():
-    graph = make_family_instance("erdos_renyi", N, seed=SEED)
-    _, tree, links = _links_of(graph)
-    return tree, links
+    plan = SolverPlan.for_graph(make_family_instance("erdos_renyi", N, seed=SEED))
+    return plan.tree, plan.links
 
 
 def _time_backend(tree, links, backend: str, validate: bool) -> tuple[float, object]:

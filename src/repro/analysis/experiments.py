@@ -24,12 +24,12 @@ from repro.core.instance import TAPInstance
 from repro.core.reverse import reverse_delete
 from repro.core.rounds import PrimitiveLog, RoundCostModel
 from repro.core.tap import approximate_tap, solve_virtual_tap
-from repro.core.tecss import approximate_two_ecss, rooted_mst
+from repro.core.tecss import approximate_two_ecss
 from repro.core.unweighted import unweighted_tap
 from repro.decomp.layering import Layering
 from repro.decomp.segments import SegmentDecomposition
 from repro.graphs.families import make_family_instance
-from repro.graphs.validation import normalize_graph
+from repro.runtime.plan import SolverPlan
 from repro.shortcuts.partition import mst_fragment_partition
 from repro.shortcuts.providers import (
     BestOfShortcuts,
@@ -58,18 +58,6 @@ __all__ = [
 ]
 
 SMALL_FAMILIES = ("cycle_chords", "erdos_renyi", "grid", "hub_cycle", "ktree2")
-
-
-def _links_of(graph: nx.Graph):
-    g, _, _ = normalize_graph(graph)
-    tree, mst_edges = rooted_mst(g)
-    mst_set = set(mst_edges)
-    links = [
-        (min(u, v), max(u, v), float(d["weight"]))
-        for u, v, d in g.edges(data=True)
-        if tuple(sorted((u, v))) not in mst_set
-    ]
-    return g, tree, links
 
 
 # ----------------------------------------------------------------------
@@ -185,8 +173,7 @@ def e03_tap_approx(
             for seed in seeds:
                 if kind == "erdos_renyi":
                     g = make_family_instance("erdos_renyi", n, seed=seed)
-                    _, tree, links = _links_of(g)
-                    inst = TAPInstance.from_links(tree, links, backend=backend)
+                    inst = SolverPlan.for_graph(g).instance(backend)
                 else:
                     inst = _adversarial_tap_instance(n, seed)
                 fwd, rev = solve_virtual_tap(
@@ -214,8 +201,10 @@ def e03_tap_vs_milp(n: int = 14, seeds=(1, 2, 3, 4), eps: float = 0.5):
     rows = []
     rng = random.Random(0)
     for seed in seeds:
-        g = make_family_instance("cycle_chords", n, seed=seed)
-        _, tree, links = _links_of(g)
+        plan = SolverPlan.for_graph(
+            make_family_instance("cycle_chords", n, seed=seed)
+        )
+        tree, links = plan.tree, plan.links
         opt = exact_tap_milp(tree, links)
         res = approximate_tap(tree, links, eps=eps)
         rows.append(
@@ -284,7 +273,7 @@ def e05_layering(
     for family in families:
         for n in sizes:
             g = make_family_instance(family, n, seed=seed)
-            _, tree, _ = _links_of(g)
+            tree = SolverPlan.for_graph(g).tree
             lay = Layering(tree)
             leaves = len(tree.leaves())
             rows.append(
@@ -309,9 +298,11 @@ def e06_unweighted(sizes=(12, 60, 150), seeds=(1, 2, 3)):
     rows = []
     for n in sizes:
         for seed in seeds:
-            g = make_family_instance("cycle_chords", n, seed=seed)
-            _, tree, links = _links_of(g)
-            pairs = [(u, v) for u, v, _ in links]
+            plan = SolverPlan.for_graph(
+                make_family_instance("cycle_chords", n, seed=seed)
+            )
+            tree = plan.tree
+            pairs = [(u, v) for u, v, _ in plan.links]
             res = unweighted_tap(tree, pairs)
             row = {
                 "n": tree.n,
@@ -346,8 +337,8 @@ def e07_shortcut_algorithm(
     for family in families:
         g = make_family_instance(family, n, seed=seed)
         res = shortcut_two_ecss(g, seed=seed + 1)
-        gr_g, tree, links = _links_of(g)
-        seq = greedy_tap(tree, links)
+        plan = SolverPlan.for_graph(g)
+        seq = greedy_tap(plan.tree, plan.links)
         model = RoundCostModel(res.n, res.diameter)
         rows.append(
             {
@@ -395,8 +386,9 @@ def e07_shortcut_quality(
 def e08_shortcut_tools(sizes=(100, 200, 400, 800), family="grid", seed: int = 1):
     rows = []
     for n in sizes:
-        g = make_family_instance(family, n, seed=seed)
-        _, tree, _ = _links_of(g)
+        tree = SolverPlan.for_graph(
+            make_family_instance(family, n, seed=seed)
+        ).tree
         start = time.perf_counter()
         hierarchy = FragmentHierarchy(tree, graph=None)
         tk = ShortcutToolkit(hierarchy)
@@ -428,8 +420,10 @@ def e08_shortcut_tools(sizes=(100, 200, 400, 800), family="grid", seed: int = 1)
 # ----------------------------------------------------------------------
 
 def e09_subroutines(n: int = 150, trials: int = 200, seed: int = 1):
-    g = make_family_instance("erdos_renyi", n, seed=seed)
-    _, tree, links = _links_of(g)
+    plan = SolverPlan.for_graph(
+        make_family_instance("erdos_renyi", n, seed=seed)
+    )
+    tree, links = plan.tree, plan.links
     tk = ShortcutToolkit(FragmentHierarchy(tree))
     det = CoverDetector(tk, seed=seed)
     counter = CoverCounter55(tk)
@@ -479,9 +473,9 @@ def e10_forward_iterations(
         worst = 0
         feasible = 0.0
         for seed in seeds:
-            g = make_family_instance("erdos_renyi", n, seed=seed)
-            _, tree, links = _links_of(g)
-            inst = TAPInstance.from_links(tree, links)
+            inst = SolverPlan.for_graph(
+                make_family_instance("erdos_renyi", n, seed=seed)
+            ).instance()
             fwd = forward_phase(inst, eps=eps)
             worst = max(worst, fwd.max_iterations)
             from repro.core.certificates import validate_dual_feasibility
@@ -511,8 +505,9 @@ def e11_segments(sizes=(100, 400, 900, 1600), families=("erdos_renyi", "hub_cycl
     rows = []
     for family in families:
         for n in sizes:
-            g = make_family_instance(family, n, seed=seed)
-            _, tree, _ = _links_of(g)
+            tree = SolverPlan.for_graph(
+                make_family_instance(family, n, seed=seed)
+            ).tree
             dec = SegmentDecomposition(tree)
             stats = dec.stats()
             sq = math.sqrt(tree.n)
@@ -592,11 +587,11 @@ def e12_comparison(n: int = 200, seeds=(1, 2), eps: float = 0.5):
     rows = []
     for seed in seeds:
         g = make_family_instance("hub_cycle", n, seed=seed)
-        gg, _, _ = normalize_graph(g)
         res = approximate_two_ecss(g, eps=eps)
         kt = kt_tecss_3approx(g)
-        _, tree, links = _links_of(g)
-        seq = greedy_tap(tree, links)
+        plan = SolverPlan.for_graph(g)
+        tree = plan.tree
+        seq = greedy_tap(tree, plan.links)
         mst_w = res.mst_weight
         model = RoundCostModel(res.n, res.diameter)
         h_mst = tree.height

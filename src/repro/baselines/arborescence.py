@@ -34,10 +34,9 @@ from typing import Iterable, Sequence
 
 import networkx as nx
 
-from repro.core.tecss import rooted_mst
 from repro.core.virtual_graph import VirtualEdge, build_virtual_edges, map_back
 from repro.exceptions import NotTwoEdgeConnectedError, SolverError
-from repro.graphs.validation import check_two_edge_connected, ensure_weights, normalize_graph
+from repro.runtime.plan import SolverPlan
 from repro.trees.rooted import RootedTree
 
 __all__ = [
@@ -114,22 +113,12 @@ class KtTecssResult:
 
 def kt_tecss_3approx(graph: nx.Graph) -> KtTecssResult:
     """MST + 2-approximate TAP = the classical 3-approximation for 2-ECSS."""
-    ensure_weights(graph)
-    check_two_edge_connected(graph)
-    g, nodes, _ = normalize_graph(graph)
-    tree, mst_edges = rooted_mst(g)
-    mst_set = set(mst_edges)
-    links = [
-        (min(u, v), max(u, v), float(d["weight"]))
-        for u, v, d in g.edges(data=True)
-        if tuple(sorted((u, v))) not in mst_set
-    ]
-    aug, aug_weight = tap_2approx_arborescence(tree, links)
-    mst_weight = sum(g[u][v]["weight"] for u, v in mst_edges)
-    chosen = sorted(mst_set.union(tuple(sorted(l)) for l in aug))
+    plan = SolverPlan.for_graph(graph)
+    aug, aug_weight = tap_2approx_arborescence(plan.tree, plan.links)
+    chosen = sorted(set(plan.mst_edges).union(tuple(sorted(l)) for l in aug))
     return KtTecssResult(
-        edges=[(nodes[u], nodes[v]) for u, v in chosen],
-        weight=mst_weight + aug_weight,
-        mst_weight=mst_weight,
+        edges=[(plan.nodes[u], plan.nodes[v]) for u, v in chosen],
+        weight=plan.mst_weight + aug_weight,
+        mst_weight=plan.mst_weight,
         aug_weight=aug_weight,
     )

@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import networkx as nx
 
-from repro.core.tecss import rooted_mst
-from repro.graphs.validation import check_two_edge_connected, ensure_weights, normalize_graph
+from repro.graphs.validation import ensure_weights
+from repro.runtime.plan import SolverPlan
 
 __all__ = ["all_edges_solution", "mst_plus_cheapest_cover"]
 
@@ -23,20 +23,13 @@ def mst_plus_cheapest_cover(graph: nx.Graph) -> float:
     edge's cheapest cover may be re-bought n times); the experiments use it
     to show why the paper's coverage discipline matters.
     """
-    ensure_weights(graph)
-    check_two_edge_connected(graph)
-    g, _, _ = normalize_graph(graph)
-    tree, mst_edges = rooted_mst(g)
-    mst_set = set(mst_edges)
+    plan = SolverPlan.for_graph(graph)
+    g, tree = plan.g, plan.tree
     best: dict[int, tuple[float, tuple[int, int]]] = {}
-    for u, v, d in g.edges(data=True):
-        if tuple(sorted((u, v))) in mst_set:
-            continue
-        w = float(d["weight"])
+    for u, v, w in plan.links:
         for t in tree.path_edges(u, v):
             cur = best.get(t)
             if cur is None or w < cur[0]:
-                best[t] = (w, (min(u, v), max(u, v)))
+                best[t] = (w, (u, v))
     chosen = {link for _, link in best.values()}
-    mst_weight = sum(g[u][v]["weight"] for u, v in mst_edges)
-    return mst_weight + sum(g[u][v]["weight"] for u, v in chosen)
+    return plan.mst_weight + sum(g[u][v]["weight"] for u, v in chosen)

@@ -243,18 +243,20 @@ def assemble_k_ecss(
     base_edges: set,
     rounds: "Iterable[dict]",
     k: int,
+    *,
+    diameter: int,
+    n: int,
     validate: bool = True,
-    diameter: int | None = None,
-    n: int | None = None,
     degree_bound: float = 0.0,
 ) -> KEcssResult:
     """Combine the 2-ECSS base and the augmentation rounds into a result.
 
     ``base_edges`` is the base subgraph as *normalized* sorted pairs (the
     MST plus the round-2 TAP links), ``rounds`` the records of
-    :func:`augment_round` for ``j = 3..k`` in order.  ``g`` is only
-    touched when ``validate`` is set (the final min-cut certificate), so
-    plan-backed callers can pass ``None`` otherwise — mirroring
+    :func:`augment_round` for ``j = 3..k`` in order; ``diameter`` and
+    ``n`` are the plan's values.  ``g`` is only touched when ``validate``
+    is set (the final min-cut certificate), so plan-backed callers can
+    pass ``None`` otherwise — mirroring
     :func:`repro.core.tecss.assemble_two_ecss`.
     """
     chosen = set(base_edges)
@@ -278,11 +280,6 @@ def assemble_k_ecss(
         sub = g.edge_subgraph(chosen_sorted).copy()
         sub.add_nodes_from(g.nodes())
         check_k_edge_connected(sub, k)
-
-    if n is None:
-        n = g.number_of_nodes()
-    if diameter is None:
-        diameter = nx.diameter(g) if n <= 4000 else -1
 
     tap_factor = COVER_BOUND[base.augmentation.variant] * 2 \
         + base.augmentation.eps

@@ -62,45 +62,35 @@ def nontree_links(
 
 def assemble_two_ecss(
     g: nx.Graph | None,
-    nodes: "Sequence | None",
+    nodes: "Sequence",
     mst_edges: list[tuple],
     tap: "TapResult",
+    *,
+    diameter: int,
+    mst_weight: float,
+    n: int,
     validate: bool = True,
     mst_simulation: Any = None,
-    diameter: int | None = None,
-    mst_weight: float | None = None,
-    n: int | None = None,
     mst_edges_out: list | None = None,
 ) -> TwoEcssResult:
     """Combine MST + TAP augmentation into a validated :class:`TwoEcssResult`.
 
-    Shared by :func:`approximate_two_ecss`, the session runtime
-    (:class:`repro.runtime.session.SolverSession`) and the distributed
-    pipeline (:func:`repro.dist.pipeline.distributed_two_ecss`): ``g`` is
-    the normalized 0..n-1 graph, ``nodes`` the label mapping from
-    :func:`~repro.graphs.validation.normalize_graph`, and ``tap`` the
-    :class:`~repro.core.result.TapResult` of the augmentation.
-
-    ``diameter`` lets a caller with a cached topology diameter (the
-    session's :class:`~repro.runtime.handle.GraphHandle`) skip the
-    recomputation; ``None`` keeps the original rule (``nx.diameter`` for
-    ``n <= 4000``, else ``-1``).  ``mst_weight`` and ``n`` likewise let a
-    plan-backed caller supply cached values; when all three are given and
-    ``validate`` is off, ``g`` is never touched and may be ``None`` (the
-    delta re-solve path skips materializing the nx.Graph entirely).  A
-    supplied ``mst_weight`` must equal the in-order sum over
-    ``mst_edges`` — the session computes it from the same weight objects
-    in the same order, keeping results bit-identical.  ``mst_edges_out``
-    optionally supplies the label-mapped MST edge list
+    Shared by the session runtime
+    (:class:`repro.runtime.session.SolverSession`), the scenario batches
+    (:mod:`repro.runtime.batch`) and the distributed pipeline
+    (:func:`repro.dist.pipeline.distributed_two_ecss`).  ``nodes`` is the
+    normalized-id -> label mapping, ``tap`` the
+    :class:`~repro.core.result.TapResult` of the augmentation, and
+    ``diameter``, ``mst_weight`` and ``n`` are the
+    :class:`~repro.runtime.plan.SolverPlan` values for the same weights.
+    ``g`` is the normalized 0..n-1 graph; only ``validate`` reads it, so
+    callers may pass ``None`` otherwise.  ``mst_edges_out`` optionally
+    supplies the label-mapped MST edge list
     (``[(nodes[u], nodes[v]) for u, v in mst_edges]``) so a caller
     assembling many scenarios over one tree maps it once; the results of
     such a batch share the list, read-only by convention.
     """
     mst_set = set(mst_edges)
-    if mst_weight is None:
-        mst_weight = sum(g[u][v]["weight"] for u, v in mst_edges)
-    if n is None:
-        n = g.number_of_nodes()
     aug_edges = [tuple(sorted(link)) for link in tap.links]
     chosen = sorted(mst_set.union(aug_edges))
     weight = mst_weight + tap.weight
@@ -117,9 +107,6 @@ def assemble_two_ecss(
         if mst_edges_out is None
         else mst_edges_out
     )
-
-    if diameter is None:
-        diameter = nx.diameter(g) if n <= 4000 else -1
 
     return TwoEcssResult(
         edges=edges_out,

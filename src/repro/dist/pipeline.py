@@ -298,7 +298,8 @@ def distributed_two_ecss(
         validate=validate, backend="reference",
     )
     result = assemble_two_ecss(
-        g, nodes, mst_edges, tap, validate=validate, diameter=plan.diameter
+        g, nodes, mst_edges, tap, validate=validate, diameter=plan.diameter,
+        mst_weight=plan.mst_weight, n=plan.handle.n,
     )
 
     # 7. Price the measured runs with the Level-M model.

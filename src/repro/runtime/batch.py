@@ -13,13 +13,18 @@ rarely change.  This module restructures a compatible batch around that:
    stable-sort Kruskal over the handle's flat edge arrays that reproduces
    :func:`repro.core.tecss.rooted_mst` edge for edge (same lexicographic
    ``(weight, edge-position)`` tie-break) without materializing an
-   ``nx.Graph``.
+   ``nx.Graph``.  Columns that differ from the session's base column only
+   in ways that cannot move an edge across the tree boundary reuse the
+   base MST.  Both decisions fall back to exact Python ordering when a
+   float64 cast could reorder weights (integers beyond ``2**53``).
 2. **Tree groups** — columns with the same MST share one *structure*: one
    rooted tree, one link list shape, one virtual-edge structure, one set
-   of kernel tree arrays.  The group leader builds them; every other
-   column derives its :class:`~repro.core.instance.TAPInstance` by
-   patching the weight column alone (the dense generalization of the
-   delta path's :meth:`~repro.runtime.plan.SolverPlan._derive_instance`).
+   of kernel tree arrays.  Each scenario's plan is seeded with the shared
+   tree through :meth:`~repro.runtime.plan.SolverPlan.with_tree`.  The
+   group leader builds the structure; every other column derives its
+   :class:`~repro.core.instance.TAPInstance` by patching the weight
+   column alone (the dense generalization of the delta path's
+   :meth:`~repro.runtime.plan.SolverPlan._derive_instance`).
 3. **One forward pass per group** —
    :func:`repro.fast.forward.forward_phase_fast_batch` runs the epoch
    loop for all of a group's scenarios as ``(scenarios × edges)`` kernel
@@ -44,8 +49,9 @@ from repro.core.reverse import COVER_BOUND, reverse_delete
 from repro.core.tap import _certificates, assemble_tap_result
 from repro.core.tecss import assemble_two_ecss
 from repro.fast import require_numpy
+from repro.runtime.delta import _FLOAT_EXACT_INT
 from repro.runtime.handle import GraphHandle
-from repro.runtime.plan import SolverPlan, _links_from_handle
+from repro.runtime.plan import SolverPlan
 from repro.trees.rooted import RootedTree
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -59,24 +65,31 @@ def stable_kruskal_mst(
 ) -> list[tuple[int, int]]:
     """The MST edge list of one weight column, without an ``nx.Graph``.
 
-    ``column`` is the handle's weight column as a float64 array aligned
-    with ``handle.edges``.  Kruskal's algorithm over
+    ``column`` is the handle's weight column as float64 (any array-like
+    aligned with ``handle.edges``).  Kruskal's algorithm over
     ``argsort(column, kind="stable")`` visits edges in ascending
     ``(weight, edge-position)`` order — exactly the order
     ``nx.minimum_spanning_tree`` (stable sort over the graph's
     edge-iteration order, which the handle preserves) uses — and the
     accepted edge *set* of Kruskal depends only on that order, not on the
-    union-find implementation.  The returned list is sorted normalized
-    pairs, matching :func:`repro.core.tecss.rooted_mst` exactly.
+    union-find implementation.  When the float64 cast could reorder
+    weights (:func:`_float_exact` fails: integers beyond ``2**53``), the
+    order comes from a stable Python sort of ``handle.weights`` instead.
+    The returned list is sorted normalized pairs, matching
+    :func:`repro.core.tecss.rooted_mst` exactly.
     """
     np = require_numpy()
     a, b = handle._endpoint_arrays
-    order = np.argsort(np.asarray(column, dtype=np.float64), kind="stable")
+    column = np.asarray(column, dtype=np.float64)
+    if _float_exact(column):
+        order = np.argsort(column, kind="stable").tolist()
+    else:
+        order = sorted(range(handle.m), key=handle.weights.__getitem__)
     parent = list(range(handle.n))
     size = [1] * handle.n
     chosen: list[tuple[int, int]] = []
     need = handle.n - 1
-    for pos in order.tolist():
+    for pos in order:
         ru = int(a[pos])
         while parent[ru] != ru:
             parent[ru] = parent[parent[ru]]
@@ -99,6 +112,20 @@ def stable_kruskal_mst(
     return chosen
 
 
+def _float_exact(column64: Any) -> bool:
+    """Does the float64 column order its weights exactly as Python does?
+
+    Floats cast to themselves, and an integer cast lands at or beyond
+    ``2**53`` in magnitude only if it was not exactly representable — so
+    a column whose largest magnitude stays below ``2**53`` compares
+    exactly.  Anything else must be ordered on the original objects.
+    """
+    np = require_numpy()
+    if not column64.size:
+        return True
+    return float(np.abs(column64).max()) < _FLOAT_EXACT_INT
+
+
 @dataclass
 class _TreeGroup:
     """Shared structure for the scenarios whose MST is one given tree."""
@@ -111,25 +138,6 @@ class _TreeGroup:
     members: list[tuple[int, SolverPlan, TAPInstance]] = field(
         default_factory=list
     )
-
-
-def _seed_plan(handle: GraphHandle, group: _TreeGroup) -> SolverPlan:
-    """A plan for ``handle`` seeded with the group's already-known MST.
-
-    Mirrors what :meth:`SolverPlan.from_delta` seeds after a reused-tree
-    maintenance run: the shared tree object, the in-order MST weight sum
-    (same weight objects, same order — bit-identical to the lazy
-    ``mst_weight``), and a links builder over the handle's flat arrays.
-    """
-    plan = SolverPlan(handle)
-    plan.__dict__["_mst"] = (group.tree, group.mst_edges)
-    pair_index = handle._pair_index
-    plan.__dict__["mst_weight"] = sum(
-        handle.weights[pair_index[e]] for e in group.mst_edges
-    )
-    mst_set = set(group.mst_edges)
-    plan._links_builder = lambda: _links_from_handle(handle, mst_set)
-    return plan
 
 
 def _group_instance(
@@ -227,20 +235,22 @@ def solve_scenario_group(
     # other accepted edges.  Either way every accept/reject decision is
     # unchanged.)  Monte-Carlo sweeps perturb a handful of edges per
     # scenario, so this turns the grouping stage from O(scenarios * m)
-    # union-finds into O(scenarios) vector compares.
+    # union-finds into O(scenarios) vector compares.  The compares are
+    # float64, so they only decide when both columns cast exactly.
     base_col = np.asarray(base.weights, dtype=np.float64)
     base_mst = stable_kruskal_mst(base, base_col)
+    base_exact = _float_exact(base_col)
     base_in_tree = np.zeros(base.m, dtype=bool)
-    edge_pos = {e: i for i, e in enumerate(base.edges)}
+    pair_index = base._pair_index
     for e in base_mst:
-        base_in_tree[edge_pos[e]] = True
+        base_in_tree[pair_index[e]] = True
 
     groups: dict[tuple, _TreeGroup] = {}
     with obs.span("batch.group", scenarios=len(handles)) as group_span:
         for idx, handle in enumerate(handles):
             column64 = np.asarray(handle.weights, dtype=np.float64)
             diff = np.flatnonzero(column64 != base_col)
-            if bool(
+            if base_exact and _float_exact(column64) and bool(
                 np.all(
                     np.where(
                         base_in_tree[diff],
@@ -260,7 +270,7 @@ def solve_scenario_group(
                     mst_edges=mst_edges,
                 )
                 groups[tree_key] = group
-            plan = _seed_plan(handle, group)
+            plan = SolverPlan.with_tree(handle, group.tree, group.mst_edges)
             inst = _group_instance(plan, group, column64)
             group.members.append((idx, plan, inst))
         group_span.set(trees=len(groups))

@@ -1,4 +1,4 @@
-"""Immutable CSR-backed graph handles: validate and normalize **once**.
+"""Immutable array-backed graph handles: validate and normalize **once**.
 
 A :class:`GraphHandle` is the runtime layer's view of one input graph.  It
 performs, exactly once per topology, everything
@@ -12,8 +12,7 @@ performs, exactly once per topology, everything
 
 and stores the result in flat edge arrays — ``edges`` (the normalized
 endpoint pairs, in the input graph's iteration order, which downstream
-tie-breaks depend on) plus a ``weights`` tuple aligned with them, with a
-CSR adjacency view (:attr:`csr`) built lazily for array kernels.  The
+tie-breaks depend on) plus a ``weights`` tuple aligned with them.  The
 handle is *immutable*: :meth:`reweight` returns a **new** handle sharing
 the topology (and every topology-derived cache, e.g. :attr:`diameter` and
 the feasibility verdict) while swapping only the weight column — the cheap
@@ -40,7 +39,7 @@ from repro.graphs.validation import (
     normalize_graph,
 )
 
-try:  # numpy is optional project-wide; the CSR view degrades to lists
+try:  # numpy is optional project-wide; only the endpoint arrays need it
     import numpy as _np
 except ImportError:  # pragma: no cover - the CI image bakes numpy in
     _np = None
@@ -356,39 +355,6 @@ class GraphHandle:
             g.add_edge(u, v, weight=w)
         return g
 
-    @cached_property
-    def csr(self) -> tuple[Any, Any, Any]:
-        """CSR adjacency ``(indptr, indices, weights)`` over normalized ids.
-
-        numpy arrays when numpy is importable, plain lists otherwise —
-        the array view the batched kernels and future sharding layers
-        consume without touching networkx.
-        """
-        degree = [0] * self.n
-        for u, v in self.edges:
-            degree[u] += 1
-            degree[v] += 1
-        indptr = [0] * (self.n + 1)
-        for v in range(self.n):
-            indptr[v + 1] = indptr[v] + degree[v]
-        cursor = list(indptr[:-1])
-        indices = [0] * (2 * len(self.edges))
-        wvals = [0.0] * (2 * len(self.edges))
-        for (u, v), w in zip(self.edges, self.weights):
-            indices[cursor[u]] = v
-            wvals[cursor[u]] = w
-            cursor[u] += 1
-            indices[cursor[v]] = u
-            wvals[cursor[v]] = w
-            cursor[v] += 1
-        if _np is not None:
-            return (
-                _np.asarray(indptr, dtype=_np.int64),
-                _np.asarray(indices, dtype=_np.int64),
-                _np.asarray(wvals, dtype=_np.float64),
-            )
-        return indptr, indices, wvals
-
     @property
     def _endpoint_arrays(self) -> tuple[Any, Any]:
         """``(a, b)`` int64 endpoint columns over handle edge order.
@@ -415,11 +381,12 @@ class GraphHandle:
     def diameter(self) -> int:
         """Graph diameter when ``n <= 4000``, else ``-1`` (topology-only).
 
-        Matches the rule of
-        :func:`repro.core.tecss.assemble_two_ecss` and is shared by
-        reference across :meth:`reweight` variants — the single biggest
-        rebuild cost the session amortizes on mid-size graphs.  Any handle
-        on the topology may compute it; all of them then see it.
+        The one home of the result-metadata diameter rule: every result
+        reports this value through :attr:`SolverPlan.diameter
+        <repro.runtime.plan.SolverPlan.diameter>`.  Shared by reference
+        across :meth:`reweight` variants — the single biggest rebuild cost
+        the session amortizes on mid-size graphs.  Any handle on the
+        topology may compute it; all of them then see it.
         """
         d = self._shared.get("diameter")
         if d is None:

@@ -7,15 +7,23 @@ graph and its weights — never on the query parameters (``eps``, ``variant``,
 ===========================  =====================================  ========
 artifact                     module                                 depends
 ===========================  =====================================  ========
-validation + normalization   :mod:`repro.graphs.validation`         topology
-diameter (result metadata)   :class:`~repro.runtime.handle.GraphHandle`  topology
+validation + normalization   :class:`~repro.runtime.handle.GraphHandle`  topology
+diameter (result metadata)   :attr:`~repro.runtime.handle.GraphHandle.diameter`  topology
 MST + rooted tree            :func:`repro.core.tecss.rooted_mst`    weights
+MST weight                   :attr:`SolverPlan.mst_weight`          weights
 non-tree candidate links     :func:`repro.core.tecss.nontree_links` weights
 virtual edges + ``G'``       :class:`repro.core.instance.TAPInstance`  weights
 Euler/LCA labels, HLD        :mod:`repro.trees` (via the instance)  weights
 layering, segments           :mod:`repro.decomp` (via the instance) weights
 tree/instance numpy arrays   :mod:`repro.fast.treearrays`           weights
 ===========================  =====================================  ========
+
+This module is the only place that derives that chain: the session, the
+scenario batches, the distributed pipeline, the baselines, the shortcut
+solver and the experiments all read it from a plan
+(:meth:`SolverPlan.for_graph` for a one-off graph).  A caller that already
+knows the MST — a delta maintenance run, a scenario tree group — seeds it
+through :meth:`SolverPlan.with_tree` instead of rerunning Kruskal.
 
 A :class:`SolverPlan` owns the weight-dependent rows for one
 :class:`~repro.runtime.handle.GraphHandle`, building each lazily and
@@ -166,6 +174,28 @@ class SolverPlan:
         return cls(GraphHandle.from_graph(graph))
 
     @classmethod
+    def with_tree(
+        cls,
+        handle: GraphHandle,
+        tree: RootedTree,
+        mst_edges: list[tuple[int, int]],
+    ) -> "SolverPlan":
+        """A plan for ``handle`` whose MST is already known.
+
+        ``tree``/``mst_edges`` must be exactly what :func:`rooted_mst`
+        returns for the handle's weights (a maintained delta tree, a
+        scenario group's shared tree).  The tree object is shared, links
+        derive from the handle's flat arrays, and every other artifact —
+        :attr:`mst_weight` included — is computed by the same lazy code
+        as in a from-scratch plan, so results are bit-identical.
+        """
+        plan = cls(handle)
+        plan.__dict__["_mst"] = (tree, mst_edges)
+        mst_set = set(mst_edges)
+        plan._links_builder = lambda: _links_from_handle(handle, mst_set)
+        return plan
+
+    @classmethod
     def from_delta(
         cls,
         parent: "SolverPlan",
@@ -184,9 +214,9 @@ class SolverPlan:
           object-for-object; only the weight columns are patched
           (``mst:delta`` / ``links:delta`` / ``instance:<flavor>:delta``
           build phases, each orders of magnitude below a full build);
-        * **tree swapped** — the maintained tree seeds ``mst`` (still no
-          Kruskal run), links derive from the handle's arrays, but
-          instances rebuild from scratch (they embed the tree);
+        * **tree swapped** — the maintained tree seeds the plan through
+          :meth:`with_tree` (still no Kruskal run), but instances rebuild
+          from scratch (they embed the tree);
         * **fallback** — diffs above ``max_fraction`` of the edges, or a
           swap budget overrun, degrade to a plain full-rebuild plan.
 
@@ -203,46 +233,32 @@ class SolverPlan:
             raise ValueError(
                 "from_delta needs the plan of the handle's delta base"
             )
-        plan = cls(handle)
-        plan._delta_parent = parent
-        info = {"changed": len(changes), "swaps": 0}
-        plan.delta_info = info
+        info: dict = {"changed": len(changes), "swaps": 0}
         limit = max(1, int(max_fraction * handle.m))
-        if len(changes) > limit:
-            info.update(mode="fallback", reason=f"diff > {limit} edges")
-            return plan
         try:
-            outcome = plan._timed(
-                "mst:delta",
-                lambda: maintain_mst(
+            if len(changes) > limit:
+                raise DeltaFallback(f"diff > {limit} edges")
+            with obs.timer("plan.mst:delta") as clock:
+                outcome = maintain_mst(
                     handle, parent.tree, parent.mst_edges, max_swaps=max_swaps
-                ),
-            )
+                )
         except DeltaFallback as exc:
-            plan.build_times.pop("mst:delta", None)
             info.update(mode="fallback", reason=str(exc))
-            return plan
-        info["swaps"] = len(outcome.swaps)
-        info["mode"] = "reused" if not outcome.changed_tree else "swapped"
-        plan.__dict__["_mst"] = (outcome.tree, outcome.mst_edges)
-        pair_index = handle._pair_index
-        plan.__dict__["mst_weight"] = sum(
-            handle.weights[pair_index[e]] for e in outcome.mst_edges
-        )
-        # Links never need the nx.Graph: splice the parent's list when it
-        # is already materialized (O(k + s) instead of O(m)), else replay
-        # nontree_links from the handle's flat arrays (same edge order,
-        # same float() casts — identical output either way).
-        if "links" in parent.__dict__:
-            swaps = outcome.swaps
-            plan._links_builder = lambda: _links_from_parent(
-                parent, handle, swaps
-            )
+            plan = cls(handle)
         else:
-            mst_set = set(outcome.mst_edges)
-            plan._links_builder = lambda: _links_from_handle(
-                handle, mst_set
-            )
+            info["swaps"] = len(outcome.swaps)
+            info["mode"] = "reused" if not outcome.changed_tree else "swapped"
+            plan = cls.with_tree(handle, outcome.tree, outcome.mst_edges)
+            plan.build_times["mst:delta"] = clock.duration_s
+            # Splice the parent's links when they are already materialized
+            # (O(k + s) instead of the O(m) handle filter; same output).
+            if "links" in parent.__dict__:
+                swaps = outcome.swaps
+                plan._links_builder = lambda: _links_from_parent(
+                    parent, handle, swaps
+                )
+        plan._delta_parent = parent
+        plan.delta_info = info
         return plan
 
     # ------------------------------------------------------------------
@@ -284,9 +300,13 @@ class SolverPlan:
 
     @cached_property
     def mst_weight(self) -> float:
-        """Total MST weight (a certified lower bound on OPT)."""
-        g = self.g
-        return sum(g[u][v]["weight"] for u, v in self.mst_edges)
+        """Total MST weight (a certified lower bound on OPT).
+
+        The in-order sum of the handle's weight objects over
+        :attr:`mst_edges`, so integer columns stay exact integers.
+        """
+        weights, pair_index = self.handle.weights, self.handle._pair_index
+        return sum(weights[pair_index[e]] for e in self.mst_edges)
 
     @cached_property
     def links(self) -> list[tuple[int, int, float]]:

@@ -41,10 +41,9 @@ from typing import Any, Iterable, Mapping, Sequence
 import networkx as nx
 
 from repro import obs
-from repro.core.instance import TAPInstance
 from repro.core.k_ecss import MAX_K
 from repro.core.tap import assemble_tap_result, solve_virtual_tap
-from repro.core.tecss import assemble_two_ecss, nontree_links
+from repro.core.tecss import assemble_two_ecss
 from repro.runtime.handle import GraphHandle
 from repro.runtime.plan import SolverPlan
 from repro.runtime.registry import get_backend, resolve_compute
@@ -460,25 +459,24 @@ class SolverSession:
     ) -> Any:
         """The centralized solve path over a plan's shared instance."""
         mst_simulation = None
-        tree, mst_edges, inst = plan.tree, plan.mst_edges, None
         if simulate_mst:
             from repro.model.mst import BoruvkaMST
             from repro.sim.engine import BatchedNetwork
 
             outcome = BoruvkaMST(BatchedNetwork(plan.g)).run()
             mst_simulation = outcome.stats
-            if outcome.edges != mst_edges:  # pragma: no cover - unique MST
-                # Provably unreachable (lexicographic tie-break), but if a
-                # Borůvka bug ever produced a different tree, reproduce the
-                # one-shot semantics exactly: solve on *its* tree.
-                tree = RootedTree.from_edges(
-                    plan.handle.n, outcome.edges, root=0
+            if outcome.edges != plan.mst_edges:  # pragma: no cover - unique MST
+                # Provably unreachable (unique MST under the lexicographic
+                # tie-break), but if a Borůvka bug ever produced a different
+                # tree, solve on *its* tree through a throwaway plan.
+                plan = SolverPlan.with_tree(
+                    plan.handle,
+                    RootedTree.from_edges(
+                        plan.handle.n, outcome.edges, root=0
+                    ),
+                    outcome.edges,
                 )
-                mst_edges = outcome.edges
-                links = nontree_links(plan.g, set(mst_edges))
-                inst = TAPInstance.from_links(tree, links, backend=flavor)
-        if inst is None:
-            inst = plan.instance(flavor)
+        inst = plan.instance(flavor)
         with obs.span("solve.tap", backend=flavor):
             fwd, rev = solve_virtual_tap(
                 inst, eps=eps, variant=variant, segmented=segmented,
@@ -493,13 +491,10 @@ class SolverSession:
             # the plan, so a validate=False solve never materializes the
             # graph — an O(m) build the delta path must not pay per tick.
             return assemble_two_ecss(
-                plan.g if (validate or simulate_mst) else None,
-                plan.nodes, mst_edges, tap,
+                plan.g if validate else None,
+                plan.nodes, plan.mst_edges, tap,
                 validate=validate, mst_simulation=mst_simulation,
-                diameter=plan.diameter,
-                mst_weight=(
-                    plan.mst_weight if mst_edges is plan.mst_edges else None
-                ),
+                diameter=plan.diameter, mst_weight=plan.mst_weight,
                 n=plan.handle.n,
             )
 

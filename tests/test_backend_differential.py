@@ -27,14 +27,15 @@ import networkx as nx
 
 from conftest import random_tap_instance
 
-from repro.analysis.experiments import _adversarial_tap_instance, _links_of
+from repro.analysis.experiments import _adversarial_tap_instance
 from repro.core.forward import forward_phase
 from repro.core.instance import TAPInstance
 from repro.core.reverse import reverse_delete
 from repro.core.tap import approximate_tap
-from repro.core.tecss import approximate_two_ecss
+from repro.core.tecss import approximate_two_ecss, nontree_links, rooted_mst
 from repro.exceptions import NotTwoEdgeConnectedError
 from repro.graphs.families import make_family_instance
+from repro.runtime.plan import SolverPlan
 
 # 5 families x 2 sizes x 2 seeds = 20 graph instances, plus the
 # adversarial and tiny-segment grids below.
@@ -48,8 +49,8 @@ FAMILY_GRID = [
 
 def _tap_instance(family: str, n: int, seed: int) -> tuple:
     graph = make_family_instance(family, n, seed=seed)
-    _, tree, links = _links_of(graph)
-    return graph, tree, links
+    plan = SolverPlan.for_graph(graph)
+    return graph, plan.tree, plan.links
 
 
 def assert_forward_equal(ref, fast) -> None:
@@ -153,7 +154,9 @@ def test_infeasible_raises_on_both_backends() -> None:
     # A path graph has bridges everywhere: TAP on it is infeasible.
     graph = nx.path_graph(8)
     nx.set_edge_attributes(graph, 1.0, "weight")
-    _, tree, links = _links_of(graph)
+    # A plan would refuse the bridged graph, so derive tree and links here.
+    tree, mst_edges = rooted_mst(graph)
+    links = nontree_links(graph, set(mst_edges))
     inst = TAPInstance.from_links(tree, links)
     with pytest.raises(NotTwoEdgeConnectedError):
         forward_phase(inst, eps=0.5)

@@ -226,16 +226,6 @@ class TestGraphHandle:
         assert handle._pair_index is pi
         assert clone._pair_index is pi
 
-    def test_csr_is_consistent(self):
-        g = cycle_with_chords(12, 4, seed=5)
-        handle = GraphHandle.from_graph(g)
-        indptr, indices, weights = handle.csr
-        assert int(indptr[-1]) == 2 * handle.m
-        gn = handle.graph
-        for v in range(handle.n):
-            neigh = sorted(int(u) for u in indices[indptr[v]:indptr[v + 1]])
-            assert neigh == sorted(gn.neighbors(v))
-
 
 class TestSolverPlan:
     def test_artifacts_built_once(self):

@@ -23,6 +23,7 @@ import dataclasses
 import json
 import random
 
+import networkx as nx
 import pytest
 
 from repro.fast import HAVE_NUMPY
@@ -80,6 +81,52 @@ def perturbed_columns(graph, count, seed=7):
 # ---------------------------------------------------------------------------
 
 
+BIG_INT_EDGES = [
+    (0, 1, 2**53 + 1), (1, 2, 2**53), (2, 3, 1), (3, 0, 1), (0, 2, 2**53 + 2)
+]
+
+
+def big_int_graph():
+    """Integer weights around ``2**53``, where float64 casts collide.
+
+    As floats, ``(0, 1)`` ties ``(1, 2)`` and wins on edge position, so a
+    float64 Kruskal picks ``(0, 1)`` where the exact order picks
+    ``(1, 2)``.
+    """
+    graph = nx.Graph()
+    for u, v, w in BIG_INT_EDGES:
+        graph.add_edge(u, v, weight=w)
+    return graph
+
+
+def big_int_columns():
+    """Two columns only an exact comparison tells apart from the base.
+
+    The first raises the non-tree ``(0, 2)`` to ``2**53 + 3``; the second
+    raises the tree edge ``(1, 2)`` to ``2**53 + 1``, which a float64 cast
+    cannot see and which swaps it out for ``(0, 1)``.
+    """
+    columns = []
+    for edge, w in [((0, 2), 2**53 + 3), ((1, 2), 2**53 + 1)]:
+        column = {(u, v): x for u, v, x in BIG_INT_EDGES}
+        column[edge] = w
+        columns.append(column)
+    return columns
+
+
+def assert_vectorized_matches_looped(graph, queries, backend):
+    """Solve ``queries`` both ways; return the vectorized session's stats."""
+    looped = SolverSession(graph, backend=backend).solve_many(queries)
+    session = SolverSession(graph, backend=backend)
+    batched = session.solve_batch_vectorized(queries)
+    assert len(batched) == len(looped)
+    for a, b in zip(batched, looped):
+        assert_results_equal(a, b)
+    stats = session.stats()
+    assert stats["solves"] == len(queries)
+    return stats
+
+
 @needs_numpy
 @pytest.mark.parametrize("backend", COMPUTE_BACKENDS)
 def test_vectorized_bit_identical_to_looped(backend):
@@ -92,20 +139,19 @@ def test_vectorized_bit_identical_to_looped(backend):
         + [{"eps": 0.5, "weights": columns[0]}]  # duplicate column
         + [{"eps": 0.5, "validate": False, "weights": c} for c in columns[:2]]
     )
-    looped = SolverSession(graph, backend=backend).solve_many(queries)
-    session = SolverSession(graph, backend=backend)
-    batched = session.solve_batch_vectorized(queries)
-    assert len(batched) == len(looped)
-    for a, b in zip(batched, looped):
-        assert_results_equal(a, b)
-    stats = session.stats()
-    assert stats["solves"] == len(queries)
+    stats = assert_vectorized_matches_looped(graph, queries, backend)
+    big_stats = assert_vectorized_matches_looped(
+        big_int_graph(),
+        [{"eps": 0.5, "weights": c} for c in big_int_columns()],
+        backend,
+    )
     from repro.runtime.registry import resolve_compute
 
     if resolve_compute(backend) == "fast":
         # eps=0.5, eps=0.25, and the validate=False group.
         assert stats["vectorized_batches"] == 3
         assert stats["scalar_fallback"] == 0
+        assert big_stats["vectorized_batches"] == 1
     else:
         assert stats["vectorized_batches"] == 0
         assert stats["scalar_fallback"] == len(queries)
@@ -185,18 +231,48 @@ def test_solve_many_groups_by_weight_fingerprint():
 # ---------------------------------------------------------------------------
 
 
+def lettered_graph():
+    """String labels ``'a'..'f'``, shaped like a small labelled example graph."""
+    graph = nx.Graph()
+    for u, v, w in [
+        ("a", "b", 0.6), ("a", "c", 0.2), ("c", "d", 0.1), ("c", "e", 0.7),
+        ("c", "f", 0.9), ("a", "d", 0.3), ("b", "c", 0.5), ("e", "f", 0.4),
+    ]:
+        graph.add_edge(u, v, weight=w)
+    return graph
+
+
 @needs_numpy
 def test_stable_kruskal_matches_rooted_mst():
     from repro.core.tecss import rooted_mst
     from repro.runtime.batch import stable_kruskal_mst
     from repro.runtime.handle import GraphHandle
 
+    cases = []
     for family, n, seed in [
         ("cycle_chords", 24, 0), ("grid", 25, 1), ("hub_cycle", 22, 2)
     ]:
         graph = make_family_instance(family, n, seed=seed)
+        cases.append(
+            (graph, [None] + perturbed_columns(graph, 3, seed=seed))
+        )
+    grid = make_family_instance("grid", 16, seed=3)
+    m = grid.number_of_edges()
+    big = 2**53
+    cases.append((grid, [
+        [1.0] * m,                                   # all ties: position order
+        [0.0] * m,                                   # zero weights
+        [0.0 if i % 3 else 2.5 for i in range(m)],   # zeros among positives
+        [(i * 7) % 5 for i in range(m)],             # small integers
+        [big - 1 - (i % 3) for i in range(m)],       # integers below 2**53
+        [big + (i * 5) % 7 for i in range(m)],       # integers above 2**53
+        [big + 2 - (i % 5) for i in range(m)],       # integers across 2**53
+    ]))
+    cases.append((big_int_graph(), [None] + big_int_columns()))
+    cases.append((lettered_graph(), [None, [1.0] * 8, [0.0] * 8]))
+    for graph, columns in cases:
         base = GraphHandle.from_graph(graph)
-        for column in [None] + perturbed_columns(graph, 3, seed=seed):
+        for column in columns:
             handle = base if column is None else base.reweight(column)
             _, expected = rooted_mst(handle.graph)
             assert stable_kruskal_mst(handle, handle.weights) == expected
@@ -266,11 +342,11 @@ def test_batched_forward_matches_scalar_forward():
     from repro.fast.forward import forward_phase_fast, forward_phase_fast_batch
     from repro.runtime.batch import (
         _group_instance,
-        _seed_plan,
         _TreeGroup,
         stable_kruskal_mst,
     )
     from repro.runtime.handle import GraphHandle
+    from repro.runtime.plan import SolverPlan
     from repro.trees.rooted import RootedTree
 
     graph = make_family_instance("cycle_chords", 28, seed=10)
@@ -298,7 +374,7 @@ def test_batched_forward_matches_scalar_forward():
     instances = []
     for column in columns:
         handle = base.reweight(column)
-        plan = _seed_plan(handle, group)
+        plan = SolverPlan.with_tree(handle, group.tree, group.mst_edges)
         instances.append(_group_instance(
             plan, group, np.asarray(handle.weights, dtype=np.float64)
         ))
