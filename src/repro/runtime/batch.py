@@ -8,20 +8,29 @@ forward phase — once per scenario even though almost everything it
 computes is a pure function of the *tree*, which scenario perturbations
 rarely change.  This module restructures a compatible batch around that:
 
-1. **Columns** — queries are deduplicated by weight column; each distinct
-   column gets its MST from :func:`stable_kruskal_mst`, a vectorized
-   stable-sort Kruskal over the handle's flat edge arrays that reproduces
-   :func:`repro.core.tecss.rooted_mst` edge for edge (same lexicographic
-   ``(weight, edge-position)`` tie-break) without materializing an
-   ``nx.Graph``.  Columns that differ from the session's base column only
-   in ways that cannot move an edge across the tree boundary reuse the
-   base MST.  Both decisions fall back to exact Python ordering when a
-   float64 cast could reorder weights (integers beyond ``2**53``).
+1. **Columns** — queries are deduplicated by weight column (equal values
+   of different types, ``1`` and ``1.0``, stay apart: result types
+   follow weight types).  Each distinct column is diffed exactly against
+   the session's base column, whose tree, MST and float64 column come
+   from :meth:`~repro.runtime.session.SolverSession.base_plan`.  A diff
+   within the session's ``delta_max_fraction`` gets its MST from
+   :func:`repro.runtime.delta.maintain_mst` — the delta path's swap-edge
+   replay, O(diff) Python and usually no swap at all.  Larger diffs, and
+   replays past ``delta_max_swaps``, fall back to
+   :func:`stable_kruskal_mst`, a stable-sort Kruskal over the handle's
+   flat edge arrays that reproduces :func:`repro.core.tecss.rooted_mst`
+   edge for edge (same lexicographic ``(weight, edge-position)``
+   tie-break) without materializing an ``nx.Graph``.  Both routes fall
+   back to exact Python ordering when a float64 cast could reorder
+   weights (integers beyond ``2**53``).  The ``batch.group`` span counts
+   the columns each route resolved (``maintained`` / ``kruskal``).
 2. **Tree groups** — columns with the same MST share one *structure*: one
    rooted tree, one link list shape, one virtual-edge structure, one set
    of kernel tree arrays.  Each scenario's plan is seeded with the shared
    tree through :meth:`~repro.runtime.plan.SolverPlan.with_tree`.  The
-   group leader builds the structure; every other column derives its
+   group leader builds the structure — for the base tree, the base plan
+   itself leads, so its already built instance is reused — and every
+   other column derives its
    :class:`~repro.core.instance.TAPInstance` by patching the weight
    column alone (the dense generalization of the delta path's
    :meth:`~repro.runtime.plan.SolverPlan._derive_instance`).
@@ -40,6 +49,7 @@ field — held by ``tests/test_scenario_batch.py``.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Sequence
 
@@ -49,7 +59,13 @@ from repro.core.reverse import COVER_BOUND, reverse_delete
 from repro.core.tap import _certificates, assemble_tap_result
 from repro.core.tecss import assemble_two_ecss
 from repro.fast import require_numpy
-from repro.runtime.delta import _FLOAT_EXACT_INT
+from repro.runtime.delta import (
+    DeltaFallback,
+    DeltaOutcome,
+    diff_limit,
+    float_exact,
+    maintain_mst,
+)
 from repro.runtime.handle import GraphHandle
 from repro.runtime.plan import SolverPlan
 from repro.trees.rooted import RootedTree
@@ -73,15 +89,17 @@ def stable_kruskal_mst(
     edge-iteration order, which the handle preserves) uses — and the
     accepted edge *set* of Kruskal depends only on that order, not on the
     union-find implementation.  When the float64 cast could reorder
-    weights (:func:`_float_exact` fails: integers beyond ``2**53``), the
-    order comes from a stable Python sort of ``handle.weights`` instead.
-    The returned list is sorted normalized pairs, matching
-    :func:`repro.core.tecss.rooted_mst` exactly.
+    weights (:func:`~repro.runtime.delta.float_exact` fails: integers
+    beyond ``2**53``), the order comes from a stable Python sort of
+    ``handle.weights`` instead.  The returned list is sorted normalized
+    pairs, matching :func:`repro.core.tecss.rooted_mst` exactly.  The
+    scenario batch runs it only for columns that swap-edge maintenance
+    does not take.
     """
     np = require_numpy()
     a, b = handle._endpoint_arrays
     column = np.asarray(column, dtype=np.float64)
-    if _float_exact(column):
+    if float_exact(column):
         order = np.argsort(column, kind="stable").tolist()
     else:
         order = sorted(range(handle.m), key=handle.weights.__getitem__)
@@ -112,18 +130,48 @@ def stable_kruskal_mst(
     return chosen
 
 
-def _float_exact(column64: Any) -> bool:
-    """Does the float64 column order its weights exactly as Python does?
+def _same_types(a: Sequence, b: Sequence) -> bool:
+    """Do two equal weight columns hold the same type at every position?"""
+    return all(map(operator.is_, map(type, a), map(type, b)))
 
-    Floats cast to themselves, and an integer cast lands at or beyond
-    ``2**53`` in magnitude only if it was not exactly representable — so
-    a column whose largest magnitude stays below ``2**53`` compares
-    exactly.  Anything else must be ordered on the original objects.
+
+def _maintained_mst(
+    base_plan: SolverPlan,
+    handle: GraphHandle,
+    column64: Any,
+    limit: int,
+    max_swaps: int | None,
+) -> DeltaOutcome | None:
+    """The column's MST by swap-edge maintenance over ``base_plan``.
+
+    The diff against the base column is exact: a float64 compare when
+    both columns cast exactly, else a compare of the weight objects.
+    Returns ``None`` — run a full Kruskal — when the diff exceeds
+    ``limit`` edges or the replay overruns its swap budget; a dense
+    diff is rejected on its size alone, before any per-edge Python.
     """
     np = require_numpy()
-    if not column64.size:
-        return True
-    return float(np.abs(column64).max()) < _FLOAT_EXACT_INT
+    base_weights = base_plan.handle.weights
+    if base_plan._weights_float_exact and float_exact(column64):
+        diff = np.flatnonzero(column64 != base_plan._weight_column64)
+        if diff.size > limit:
+            return None
+        positions = diff.tolist()
+    else:
+        positions = [
+            j for j, (w, b) in enumerate(zip(handle.weights, base_weights))
+            if w != b
+        ]
+        if len(positions) > limit:
+            return None
+    weights = handle.weights
+    try:
+        return maintain_mst(
+            base_plan, {j: weights[j] for j in positions},
+            max_swaps=max_swaps,
+        )
+    except DeltaFallback:
+        return None
 
 
 @dataclass
@@ -147,7 +195,8 @@ def _group_instance(
 
     The first plan of a group builds the full structure (virtual-edge
     columns, layering, HLD, segments, kernel arrays) and becomes the
-    leader; later plans clone it with only the weight column rewritten —
+    leader, whose own instance is returned as is; later plans clone it
+    with only the weight column rewritten —
     the same derivation :meth:`SolverPlan._derive_instance` performs for
     sparse deltas, generalized to a whole-column patch via the leader's
     link-position array (``weights64[link_pos]`` equals the ``float()``
@@ -165,7 +214,8 @@ def _group_instance(
         inst.hld
         inst.segments
         group.link_pos = np.asarray(plan._link_edge_pos, dtype=np.int64)
-        return inst
+    if plan is group.leader_plan:
+        return plan.instance("fast")
     leader_inst = group.leader_plan.instance("fast")
     cols = leader_inst.edges
     if not isinstance(cols, VirtualEdgeColumns):  # pragma: no cover - guard
@@ -206,74 +256,80 @@ def solve_scenario_group(
     if variant not in COVER_BOUND:
         raise ValueError(f"variant must be one of {sorted(COVER_BOUND)}")
     np = require_numpy()
-    base = session.handle
+    base_plan = session.base_plan()
+    base = base_plan.handle
 
     # Deduplicate queries by weight column: identical columns share one
     # scenario (and therefore one MST check, one instance, one solve).
+    # Equal values of different types (``1`` vs ``1.0``) hash alike but
+    # give different result types, so a hit also compares the types.
     handles: list[GraphHandle] = []
     scenario_of: list[int] = []
-    seen: dict[tuple, int] = {}
+    seen: dict[tuple, list[int]] = {}
     for query in queries:
         handle = (
             base if query.weights is None else base.reweight(query.weights)
         )
-        at = seen.get(handle.weights)
-        if at is None:
+        hits = seen.setdefault(handle.weights, [])
+        for at in hits:
+            if _same_types(handles[at].weights, handle.weights):
+                break
+        else:
             at = len(handles)
-            seen[handle.weights] = at
+            hits.append(at)
             handles.append(handle)
         scenario_of.append(at)
 
-    # Group scenarios by MST.  A full Kruskal per scenario is the fallback;
-    # when a column differs from the session's base column only by edges
-    # whose change cannot move them across the tree boundary — non-tree
-    # edges that got no cheaper, tree edges that got no dearer — the base
-    # MST is provably the column's stable-Kruskal output and is reused.
-    # (Worsening a rejected edge only moves it later in the stable order,
-    # past edges that already connected its endpoints; improving an
-    # accepted edge moves it earlier without creating a cycle among the
-    # other accepted edges.  Either way every accept/reject decision is
-    # unchanged.)  Monte-Carlo sweeps perturb a handful of edges per
-    # scenario, so this turns the grouping stage from O(scenarios * m)
-    # union-finds into O(scenarios) vector compares.  The compares are
-    # float64, so they only decide when both columns cast exactly.
-    base_col = np.asarray(base.weights, dtype=np.float64)
-    base_mst = stable_kruskal_mst(base, base_col)
-    base_exact = _float_exact(base_col)
-    base_in_tree = np.zeros(base.m, dtype=bool)
-    pair_index = base._pair_index
-    for e in base_mst:
-        base_in_tree[pair_index[e]] = True
-
+    # Group scenarios by MST.  A column within the session's delta limit
+    # of the base column gets its tree by swap-edge maintenance over the
+    # base plan (O(diff) Python); a dense diff, or a swap-budget overrun,
+    # runs a full Kruskal instead.
+    limit = diff_limit(base.m, session.delta_max_fraction)
+    base_key = tuple(base_plan.mst_edges)
     groups: dict[tuple, _TreeGroup] = {}
+    routes = {"maintained": 0, "kruskal": 0}
     with obs.span("batch.group", scenarios=len(handles)) as group_span:
         for idx, handle in enumerate(handles):
-            column64 = np.asarray(handle.weights, dtype=np.float64)
-            diff = np.flatnonzero(column64 != base_col)
-            if base_exact and _float_exact(column64) and bool(
-                np.all(
-                    np.where(
-                        base_in_tree[diff],
-                        column64[diff] <= base_col[diff],
-                        column64[diff] >= base_col[diff],
-                    )
-                )
-            ):
-                mst_edges = base_mst
-            else:
+            column64 = (
+                base_plan._weight_column64 if handle is base
+                else np.asarray(handle.weights, dtype=np.float64)
+            )
+            outcome = _maintained_mst(
+                base_plan, handle, column64, limit, session.delta_max_swaps
+            )
+            tree: RootedTree | None = None
+            if outcome is None:
+                routes["kruskal"] += 1
                 mst_edges = stable_kruskal_mst(handle, column64)
+            else:
+                routes["maintained"] += 1
+                tree, mst_edges = outcome.tree, outcome.mst_edges
             tree_key = tuple(mst_edges)
             group = groups.get(tree_key)
             if group is None:
-                group = _TreeGroup(
-                    tree=RootedTree.from_edges(handle.n, mst_edges, root=0),
-                    mst_edges=mst_edges,
-                )
+                if tree_key == base_key:
+                    # The base plan leads its own tree's group: members
+                    # patch weights into its (usually already built)
+                    # instance instead of building the structure anew.
+                    group = _TreeGroup(base_plan.tree, base_plan.mst_edges)
+                    _group_instance(
+                        base_plan, group, base_plan._weight_column64
+                    )
+                else:
+                    group = _TreeGroup(
+                        tree or RootedTree.from_edges(
+                            handle.n, mst_edges, root=0
+                        ),
+                        mst_edges,
+                    )
                 groups[tree_key] = group
-            plan = SolverPlan.with_tree(handle, group.tree, group.mst_edges)
+            plan = (
+                base_plan if handle is base
+                else SolverPlan.with_tree(handle, group.tree, group.mst_edges)
+            )
             inst = _group_instance(plan, group, column64)
             group.members.append((idx, plan, inst))
-        group_span.set(trees=len(groups))
+        group_span.set(trees=len(groups), **routes)
 
     # One batched forward pass per tree group, then per-scenario
     # reverse-delete + certificates + assembly — the exact body of

@@ -1,4 +1,4 @@
-"""Swap-edge MST maintenance for sparse reweights (the delta-solve core).
+"""Swap-edge MST maintenance for sparse reweights.
 
 :func:`repro.core.tecss.rooted_mst` computes the MST with networkx's
 Kruskal, whose tie-break is fully deterministic: edges are *stably* sorted
@@ -9,7 +9,10 @@ so the effective comparison key of edge ``i`` is the lexicographic pair
 makes incremental maintenance *exact*: this module replays a sparse weight
 diff one edge at a time, applying the classic swap rules under the same
 ``(weight, position)`` key, and provably lands on the tree a fresh
-stable-Kruskal run would produce.
+stable-Kruskal run would produce.  It serves two callers: delta ticks
+(:meth:`repro.runtime.plan.SolverPlan.from_delta`) and the columns of a
+scenario batch (:mod:`repro.runtime.batch`), both diffing against the
+session's base plan.
 
 For a single edge ``i`` changing ``w -> w'`` there are four cases:
 
@@ -27,36 +30,43 @@ For a single edge ``i`` changing ``w -> w'`` there are four cases:
 Each step performs at most one swap, so a ``k``-edge diff costs at most
 ``k`` swaps; the changes are applied in ascending edge position (any fixed
 order works — after each step the invariant "current tree is the stable
-Kruskal of the current weights" is restored).  Crossing-edge queries run
-vectorized over the tree's Euler intervals when numpy is present
+Kruskal of the current weights" is restored).  Everything the replay
+reads from the parent — its tree positions, float64 weight column,
+non-tree mask, lex-max tree edge and float-exactness verdict — is cached
+on the parent plan, so a replay costs O(k) Python plus numpy work only
+when a cut-rule query fires.  Crossing-edge queries run vectorized over
+the tree's Euler intervals when numpy is present
 (:func:`repro.fast.kernels.min_weight_crossing`) and as an exact Python
-scan otherwise — or when integer weights exceed float64's exact range,
-where a float comparison could mis-rank candidates.
+scan otherwise — or when the parent column *or the diff's new values*
+hold numbers a float64 cast could mis-rank (:func:`float_exact`).
 
-:class:`DeltaFallback` signals "rebuild from scratch instead"; the caller
-(:meth:`repro.runtime.plan.SolverPlan.from_delta`) also refuses large
-diffs before calling in.
+:class:`DeltaFallback` signals "rebuild from scratch instead"; callers
+also refuse diffs above :func:`diff_limit` edges before calling in.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-
-from typing import Any, Iterable, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Collection, Mapping
 
 from repro import obs
-from repro.runtime.handle import GraphHandle
 from repro.trees.rooted import RootedTree
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.runtime.plan import SolverPlan
 
 try:  # numpy is optional project-wide
     import numpy as _np
 except ImportError:  # pragma: no cover - the CI image bakes numpy in
     _np = None
 
-__all__ = ["DeltaFallback", "DeltaOutcome", "maintain_mst"]
+__all__ = [
+    "DeltaFallback", "DeltaOutcome", "diff_limit", "float_exact",
+    "maintain_mst",
+]
 
-#: Integer weights beyond this magnitude are not exactly representable as
-#: float64; the vectorized crossing query then switches to the Python scan.
+#: Numbers at or beyond this magnitude may not survive a float64 cast
+#: exactly (integers past ``2**53``); see :func:`float_exact`.
 _FLOAT_EXACT_INT = 1 << 53
 
 
@@ -69,9 +79,9 @@ class DeltaOutcome:
     """The result of :func:`maintain_mst` for one sparse diff.
 
     ``mst_edges`` is sorted exactly like :func:`~repro.core.tecss.rooted_mst`
-    output; ``tree`` is the parent's :class:`RootedTree` object when
-    ``changed_tree`` is false (so every tree-derived artifact can be
-    shared) and a freshly rooted tree otherwise.  ``swaps`` records
+    output; ``tree`` and ``mst_edges`` are the parent plan's own objects
+    when ``changed_tree`` is false (so every tree-derived artifact can be
+    shared) and freshly built otherwise.  ``swaps`` records
     ``(removed, added)`` edge pairs for observability.
     """
 
@@ -83,37 +93,58 @@ class DeltaOutcome:
     )
 
 
-class _CrossingIndex:
-    """Full-edge candidate arrays for cut-rule queries, built once per diff.
+def diff_limit(m: int, max_fraction: float) -> int:
+    """The largest diff, in edges, that maintenance is tried on.
 
-    The endpoint arrays are immutable for the whole :func:`maintain_mst`
-    call; the weight column is patched in place as changes are applied and
-    a boolean non-tree mask absorbs each swap in O(1) (flip two entries).
+    Larger diffs rebuild the MST from scratch: past a few percent of the
+    edges the replay's per-change work costs more than one Kruskal.
+    """
+    return max(1, int(max_fraction * m))
+
+
+def float_exact(column64: Any) -> bool:
+    """Does a float64 column order its weights exactly as Python does?
+
+    Floats cast to themselves, and an integer cast lands at or beyond
+    ``2**53`` in magnitude only if it was not exactly representable — so
+    a column whose largest magnitude stays below ``2**53`` compares
+    exactly.  Anything else must be ordered on the original objects.
+    """
+    if not column64.size:
+        return True
+    return float(_np.abs(column64).max()) < _FLOAT_EXACT_INT
+
+
+class _CrossingIndex:
+    """Full-edge candidate arrays for cut-rule queries, built on first use.
+
+    The numpy form copies the parent plan's cached float64 weight column
+    and non-tree mask once per replay, patches in the changes and swaps
+    applied so far, and then absorbs each further change or swap in O(1).
     Queries slice the candidate view out with fancy indexing — O(m) numpy,
-    microseconds at ``m ~ 10^4`` — instead of the O(m)-*Python* rebuild a
-    per-swap reconstruction would cost.  Only the Euler labels are
-    re-extracted when the tree object changes.
+    microseconds at ``m ~ 10^4``.  Only the Euler labels are re-extracted
+    when the tree object changes.  Without numpy (or with a column a
+    float64 cast could mis-rank) queries scan every edge in Python.
     """
 
     def __init__(
         self,
-        handle: GraphHandle,
-        weights: "Sequence",
-        tset: "set[tuple[int, int]]",
-        pair_index: "dict[tuple[int, int], int]",
+        parent: "SolverPlan",
+        changed: Mapping[int, Any],
+        swapped: "list[tuple[int, int]]",
         use_numpy: bool,
     ) -> None:
-        self.edges = handle.edges
-        self.tset = tset  # live reference: maintain_mst mutates it on swap
+        self.m = parent.handle.m
         self.use_numpy = use_numpy
         if use_numpy:
-            self.a, self.b = handle._endpoint_arrays
-            self.w = _np.fromiter(
-                weights, dtype=_np.float64, count=len(self.edges)
-            )
-            self.nontree = _np.ones(len(self.edges), dtype=bool)
-            for key in tset:
-                self.nontree[pair_index[key]] = False
+            self.a, self.b = parent.handle._endpoint_arrays
+            self.w = parent._weight_column64.copy()
+            for j, w in changed.items():
+                self.w[j] = w
+            self.nontree = parent._nontree_mask.copy()
+            for out_pos, in_pos in swapped:
+                self.nontree[out_pos] = True
+                self.nontree[in_pos] = False
             self.tree_obj = None
             self.tin = None
             self.tout = None
@@ -140,7 +171,9 @@ class _CrossingIndex:
             self.nontree[in_pos] = False
             self._pos = None  # candidate view is stale
 
-    def global_min(self, weights: "Sequence") -> "tuple[Any, int] | None":
+    def global_min(
+        self, weight: Callable[[int], Any], tpos: Collection[int]
+    ) -> "tuple[Any, int] | None":
         """Lex-min ``(weight, position)`` over *all* non-tree edges.
 
         A lower bound on any crossing query — the cut rule uses it to
@@ -150,18 +183,23 @@ class _CrossingIndex:
         if self.use_numpy:
             masked = _np.where(self.nontree, self.w, _np.inf)
             j = int(masked.argmin())  # first occurrence == lex-min
-            return (weights[j], j)
+            return (weight(j), j)
         best = None
-        for j, (u, v) in enumerate(self.edges):
-            if ((u, v) if u < v else (v, u)) in self.tset:
+        for j in range(self.m):
+            if j in tpos:
                 continue
-            cand = (weights[j], j)
+            cand = (weight(j), j)
             if best is None or cand < best:
                 best = cand
         return best
 
     def min_crossing(
-        self, tree: RootedTree, cut_child: int, weights: "Sequence"
+        self,
+        tree: RootedTree,
+        cut_child: int,
+        weight: Callable[[int], Any],
+        tpos: Collection[int],
+        edges: "list[tuple[int, int]]",
     ) -> "int | None":
         """Lex-min ``(weight, position)`` non-tree edge crossing the cut.
 
@@ -185,74 +223,70 @@ class _CrossingIndex:
             return None if k < 0 else int(self._pos[k])
         best = None
         anc = tree.is_ancestor
-        for j, (u, v) in enumerate(self.edges):
-            if ((u, v) if u < v else (v, u)) in self.tset:
+        for j, (u, v) in enumerate(edges):
+            if j in tpos:
                 continue
             if anc(cut_child, u) != anc(cut_child, v):
-                cand = (weights[j], j)
+                cand = (weight(j), j)
                 if best is None or cand < best:
                     best = cand
         return None if best is None else best[1]
 
 
-def _weights_float_exact(weights: "Iterable") -> bool:
-    """Can every weight be compared exactly after a float64 cast?"""
-    for w in weights:
-        if isinstance(w, float):
-            continue
-        if -_FLOAT_EXACT_INT <= w <= _FLOAT_EXACT_INT:
-            continue
-        return False
-    return True
-
-
 def maintain_mst(
-    handle: GraphHandle,
-    tree: RootedTree,
-    mst_edges: list[tuple[int, int]],
+    parent: "SolverPlan",
+    changes: Mapping[int, Any],
     *,
     max_swaps: int | None = None,
 ) -> DeltaOutcome:
-    """Replay ``handle.delta_changes`` over the parent MST (module doc).
+    """Replay ``changes`` over ``parent``'s MST (module doc).
 
-    ``tree`` / ``mst_edges`` belong to the plan of ``handle.delta_base``;
-    the diff and old weights come from the handle's delta lineage.  Raises
-    :class:`DeltaFallback` when the swap budget is exceeded.  When
-    tracing is on, the replay runs under a ``delta.maintain`` span
-    carrying the change/swap counts (a fallback shows up as its
-    ``error`` attribute).
+    ``changes`` maps handle edge positions to new weights; the old
+    weights are ``parent.handle.weights``.  Raises :class:`DeltaFallback`
+    when the swap budget (default: one swap per change, the provable
+    maximum) is exceeded.  When tracing is on, the replay runs under a
+    ``delta.maintain`` span carrying the change/swap counts (a fallback
+    shows up as its ``error`` attribute).
     """
-    with obs.span(
-        "delta.maintain", changed=len(handle.delta_changes)
-    ) as span:
-        outcome = _maintain_mst(handle, tree, mst_edges, max_swaps=max_swaps)
+    with obs.span("delta.maintain", changed=len(changes)) as span:
+        outcome = _maintain_mst(parent, changes, max_swaps=max_swaps)
         span.set(swaps=len(outcome.swaps), changed_tree=outcome.changed_tree)
     return outcome
 
 
 def _maintain_mst(
-    handle: GraphHandle,
-    tree: RootedTree,
-    mst_edges: list[tuple[int, int]],
+    parent: "SolverPlan",
+    changes: Mapping[int, Any],
     *,
     max_swaps: int | None = None,
 ) -> DeltaOutcome:
     """The replay body behind :func:`maintain_mst`."""
-    base = handle.delta_base
-    if base is None:
-        raise DeltaFallback("handle has no delta lineage")
-    changes = handle.delta_changes
+    handle = parent.handle
     edges = handle.edges
     pair_index = handle._pair_index
-    n = handle.n
-    weights = list(base.weights)
-    tset = set(mst_edges)
-    cur_tree = tree
-    tree_dirty = False
-    swaps: list[tuple[tuple[int, int], tuple[int, int]]] = []
+    base_weights = handle.weights
+    changed: dict[int, Any] = {}  # changes applied so far
+
+    def _weight(j: int) -> Any:
+        return changed[j] if j in changed else base_weights[j]
+
+    def _key(j: int) -> tuple[int, int]:
+        u, v = edges[j]
+        return (u, v) if u < v else (v, u)
+
+    tpos = parent._tree_positions  # current tree edges, by position
+    swapped: list[tuple[int, int]] = []  # (out_pos, in_pos)
     budget = len(changes) if max_swaps is None else max_swaps
-    use_numpy = _np is not None and _weights_float_exact(weights)
+    use_numpy = (
+        _np is not None
+        and parent._weights_float_exact
+        and float_exact(_np.fromiter(
+            changes.values(), dtype=_np.float64, count=len(changes)
+        ))
+    )
     crossing: _CrossingIndex | None = None
+    cur_tree = parent.tree
+    tree_dirty = False
 
     def _tree() -> RootedTree:
         # Rebuilt lazily so back-to-back swaps (and a final swap with no
@@ -263,7 +297,9 @@ def _maintain_mst(
             # order, and downstream tie-breaks compare those labels —
             # feeding raw set order here made mid-replay trees (and thus
             # swap choices on ties) vary run to run.
-            cur_tree = RootedTree.from_edges(n, sorted(tset), root=0)
+            cur_tree = RootedTree.from_edges(
+                handle.n, sorted(_key(j) for j in tpos), root=0
+            )
             tree_dirty = False
         return cur_tree
 
@@ -271,87 +307,78 @@ def _maintain_mst(
     # bound on every cycle-rule path-max.  Most drift changes fail even
     # this bound (a lightened non-tree edge still heavier than *any*
     # tree edge cannot displace one), so the O(path) walk is skipped for
-    # them and only recomputed-on-demand after swaps or max-edge updates.
-    tree_max = None
+    # them; the bound is kept current below and recomputed on demand
+    # only after a swap or a change to the max edge itself.
+    tree_max: "tuple[Any, int] | None" = parent._tree_lex_max
 
     def _tree_max() -> "tuple[Any, int]":
         nonlocal tree_max
         if tree_max is None:
-            tree_max = max(
-                (weights[pair_index[key]], pair_index[key]) for key in tset
-            )
+            tree_max = max((_weight(j), j) for j in tpos)
         return tree_max
 
     for i in sorted(changes):
         new = changes[i]
-        old = weights[i]
+        old = base_weights[i]
         u, v = edges[i]
-        key = (u, v) if u < v else (v, u)
-        swapped = None
-        if key in tset:
+        swap = None  # (out_pos, in_pos)
+        if i in tpos:
             if new > old:
                 # Cut rule: the tree edge got heavier; the lightest
                 # crossing non-tree edge may replace it.
                 if crossing is None:
                     crossing = _CrossingIndex(
-                        handle, weights, tset, pair_index, use_numpy
+                        parent, changed, swapped, use_numpy
                     )
-                floor = crossing.global_min(weights)
+                floor = crossing.global_min(_weight, tpos)
                 if floor is not None and floor < (new, i):
                     t = _tree()
                     cut_child = u if t.parent[u] == v else v
-                    j = crossing.min_crossing(t, cut_child, weights)
-                    if j is not None and (weights[j], j) < (new, i):
-                        inkey = (
-                            (edges[j][0], edges[j][1])
-                            if edges[j][0] < edges[j][1]
-                            else (edges[j][1], edges[j][0])
-                        )
-                        swapped = (key, inkey)
-        else:
-            if new < old and (new, i) < _tree_max():
-                # Cycle rule: the non-tree edge got lighter; the heaviest
-                # tree edge on its path may fall out.
-                t = _tree()
-                best = None
-                for c in t.path_edges(u, v):
-                    te = pair_index[(c, t.parent[c])]
-                    cand = (weights[te], te)
-                    if best is None or cand > best:
-                        best = cand
-                if best is not None and (new, i) < best:
-                    te = best[1]
-                    a, b = edges[te]
-                    outkey = (a, b) if a < b else (b, a)
-                    swapped = (outkey, key)
-        weights[i] = new
+                    j = crossing.min_crossing(
+                        t, cut_child, _weight, tpos, edges
+                    )
+                    if j is not None and (_weight(j), j) < (new, i):
+                        swap = (i, j)
+        elif new < old and (new, i) < _tree_max():
+            # Cycle rule: the non-tree edge got lighter; the heaviest
+            # tree edge on its path may fall out.
+            t = _tree()
+            best = None
+            for c in t.path_edges(u, v):
+                te = pair_index[(c, t.parent[c])]
+                cand = (_weight(te), te)
+                if best is None or cand > best:
+                    best = cand
+            if best is not None and (new, i) < best:
+                swap = (best[1], i)
+        changed[i] = new
         if crossing is not None:
             crossing.update_weight(i, new)
-        if key in tset and tree_max is not None:
+        if i in tpos and tree_max is not None:
             # Keep the cycle-rule bound current: a heavier tree edge can
             # raise it in O(1); touching the max edge itself invalidates.
             if (new, i) > tree_max:
                 tree_max = (new, i)
             elif i == tree_max[1]:
                 tree_max = None
-        if swapped is not None:
-            if len(swaps) >= budget:
+        if swap is not None:
+            if len(swapped) >= budget:
                 raise DeltaFallback(
                     f"swap budget exceeded ({budget} swaps)"
                 )
-            outkey, inkey = swapped
-            tset.remove(outkey)
-            tset.add(inkey)
-            swaps.append(swapped)
+            out_pos, in_pos = swap
+            tpos = (tpos - {out_pos}) | {in_pos}
+            swapped.append(swap)
             tree_dirty = True
             tree_max = None
             if crossing is not None:
-                crossing.apply_swap(pair_index[outkey], pair_index[inkey])
+                crossing.apply_swap(out_pos, in_pos)
 
-    if not swaps:
-        return DeltaOutcome(False, tree, mst_edges, swaps)
-    out_edges = sorted(tset)
+    if not swapped:
+        return DeltaOutcome(False, parent.tree, parent.mst_edges)
+    out_edges = sorted(_key(j) for j in tpos)
     # Rebuild exactly as rooted_mst does: from the *sorted* edge list.
     return DeltaOutcome(
-        True, RootedTree.from_edges(n, out_edges, root=0), out_edges, swaps
+        True, RootedTree.from_edges(handle.n, out_edges, root=0), out_edges,
+        [(_key(out_pos), _key(in_pos)) for out_pos, in_pos in swapped],
     )

@@ -224,7 +224,7 @@ class SolverPlan:
         everything a solve reads — held by the differential suite in
         ``tests/test_delta_resolve.py``.
         """
-        from repro.runtime.delta import DeltaFallback, maintain_mst
+        from repro.runtime.delta import DeltaFallback, diff_limit, maintain_mst
 
         changes = handle.delta_changes
         if handle.delta_base is None or (
@@ -234,14 +234,12 @@ class SolverPlan:
                 "from_delta needs the plan of the handle's delta base"
             )
         info: dict = {"changed": len(changes), "swaps": 0}
-        limit = max(1, int(max_fraction * handle.m))
+        limit = diff_limit(handle.m, max_fraction)
         try:
             if len(changes) > limit:
                 raise DeltaFallback(f"diff > {limit} edges")
             with obs.timer("plan.mst:delta") as clock:
-                outcome = maintain_mst(
-                    handle, parent.tree, parent.mst_edges, max_swaps=max_swaps
-                )
+                outcome = maintain_mst(parent, changes, max_swaps=max_swaps)
         except DeltaFallback as exc:
             info.update(mode="fallback", reason=str(exc))
             plan = cls(handle)
@@ -340,6 +338,49 @@ class SolverPlan:
 
         np = require_numpy()
         return np.asarray([w for _, _, w in self.links], dtype=np.float64)
+
+    # ------------------------------------------------------------------
+    # swap-edge maintenance inputs (read when this plan is a delta parent)
+    # ------------------------------------------------------------------
+
+    @cached_property
+    def _tree_positions(self) -> frozenset[int]:
+        """Handle edge positions of the MST edges."""
+        pair_index = self.handle._pair_index
+        return frozenset(pair_index[e] for e in self.mst_edges)
+
+    @cached_property
+    def _tree_lex_max(self) -> "tuple[Any, int] | None":
+        """Lex-max ``(weight, position)`` over the MST edges."""
+        weights = self.handle.weights
+        return max(
+            ((weights[j], j) for j in self._tree_positions), default=None
+        )
+
+    @cached_property
+    def _weight_column64(self) -> Any:
+        """The handle's weight column as float64 (numpy)."""
+        from repro.fast import require_numpy
+
+        np = require_numpy()
+        return np.asarray(self.handle.weights, dtype=np.float64)
+
+    @cached_property
+    def _weights_float_exact(self) -> bool:
+        """Does :attr:`_weight_column64` order the weights exactly?"""
+        from repro.runtime.delta import float_exact
+
+        return float_exact(self._weight_column64)
+
+    @cached_property
+    def _nontree_mask(self) -> Any:
+        """Boolean column over handle edges: true off the MST (numpy)."""
+        from repro.fast import require_numpy
+
+        np = require_numpy()
+        mask = np.ones(self.handle.m, dtype=bool)
+        mask[list(self._tree_positions)] = False
+        return mask
 
     # ------------------------------------------------------------------
     # k-ECSS rounds

@@ -328,14 +328,15 @@ class SolverSession:
     def _solve_query(
         self,
         query: SolveQuery,
-        plan_cache: "dict[object, SolverPlan] | None" = None,
+        plan_cache: "dict[object, tuple[object, SolverPlan]] | None" = None,
     ) -> Any:
         """Solve one parsed query (the body of :meth:`solve`).
 
         ``plan_cache`` is :meth:`solve_many`'s batch-local weight-
-        fingerprint map: queries whose weight inputs hash equal share one
-        resolved plan without re-paying the reweight + key computation
-        (LRU ``plan_hits`` accounting is preserved for such hits).
+        fingerprint map, token -> ``(token, plan)``: queries whose weight
+        inputs hash equal, with the same weight types, share one resolved
+        plan without re-paying the reweight + key computation (LRU
+        ``plan_hits`` accounting is preserved for such hits).
         """
         backend = (
             query.backend if query.backend is not None
@@ -375,13 +376,16 @@ class SolverSession:
                 self._weights_token(query) if plan_cache is not None else None
             )
             if token is not None and plan_cache is not None:
-                plan = plan_cache.get(token)
-                if plan is not None:
+                hit = plan_cache.get(token)
+                if hit is not None and (
+                    self._token_types(hit[0]) == self._token_types(token)
+                ):
+                    plan = hit[1]
                     self._counters["plan_hits"] += 1
             if plan is None:
                 plan = self.plan(query.weights, query.weights_delta)
                 if token is not None and plan_cache is not None:
-                    plan_cache[token] = plan
+                    plan_cache[token] = (token, plan)
             if engine == "sim":
                 from repro.dist.pipeline import distributed_two_ecss
 
@@ -540,6 +544,20 @@ class SolverSession:
         except TypeError:  # unhashable / non-iterable: let plan() decide
             return None
 
+    @staticmethod
+    def _token_types(token: Any) -> object:
+        """The weight types behind a :meth:`_weights_token`.
+
+        Tokens compare weights by value, so ``1`` and ``1.0`` collide;
+        result types follow weight types, so a token hit is only reused
+        when these match too (read on hits only, never per query).
+        """
+        if token[0] == "col":
+            return tuple(map(type, token[1]))
+        if token[0] in ("map", "delta"):
+            return {key: type(w) for key, w in token[1]}
+        return None
+
     def solve_many(self, queries: Iterable[SolveQuery | Mapping]) -> list:
         """Solve a batch of queries in order against the shared plan cache.
 
@@ -552,7 +570,7 @@ class SolverSession:
         exactly once.
         """
         results = []
-        plan_cache: dict[object, SolverPlan] = {}
+        plan_cache: dict[object, tuple[object, SolverPlan]] = {}
         with obs.span("session.solve_many") as sp:
             for query in queries:
                 results.append(
@@ -629,7 +647,7 @@ class SolverSession:
         ):
             if scalars:
                 self._counters["scalar_fallback"] += len(scalars)
-                plan_cache: dict[object, SolverPlan] = {}
+                plan_cache: dict[object, tuple[object, SolverPlan]] = {}
                 for i in scalars:
                     results[i] = self._solve_query(parsed[i], plan_cache)
             if groups:

@@ -89,7 +89,7 @@ class TestMaintainMst:
             plan = SolverPlan(handle)
             changed = _sparse_diff(graph, 1000 + trial, k=1 + trial % 5)
             new = handle.reweight_delta(changed)
-            outcome = maintain_mst(new, plan.tree, plan.mst_edges)
+            outcome = maintain_mst(plan, new.delta_changes)
             assert outcome.mst_edges == _stable_mst_edges(_patched(graph, changed))
             assert len(outcome.swaps) <= len(new.delta_changes)
 
@@ -109,8 +109,33 @@ class TestMaintainMst:
             new = handle.reweight_delta(changed)
             if new is handle:
                 continue
-            outcome = maintain_mst(new, plan.tree, plan.mst_edges)
+            outcome = maintain_mst(plan, new.delta_changes)
             assert outcome.mst_edges == _stable_mst_edges(_patched(graph, changed))
+
+    def test_big_integer_diffs_match_stable_kruskal(self):
+        """Seeded fuzz: a diff of integers around ``2**53`` over a small
+        integer column must rank exactly like a fresh Kruskal, though the
+        new values collide once cast to float64."""
+        import networkx as nx
+
+        big = 2**53
+        core = [(0, 1), (0, 5), (1, 2), (2, 3), (2, 4), (3, 4), (3, 5), (4, 5)]
+        for trial in range(200):
+            rng = random.Random(trial)
+            graph = nx.Graph()
+            graph.add_nodes_from(range(6))
+            graph.add_weighted_edges_from(
+                (u, v, rng.randint(1, 5)) for u, v in core
+            )
+            nx.add_cycle(graph, [0, *range(6, 30)], weight=1)
+            handle = GraphHandle.from_graph(graph)
+            plan = SolverPlan(handle)
+            changed = {e: big + rng.randint(0, 6) for e in rng.sample(core, 4)}
+            new = handle.reweight_delta(changed)
+            outcome = maintain_mst(plan, new.delta_changes)
+            assert outcome.mst_edges == _stable_mst_edges(
+                _patched(graph, changed)
+            )
 
     def test_swap_budget_raises_fallback(self):
         """A cascade past ``max_swaps`` aborts with :class:`DeltaFallback`."""
@@ -122,7 +147,7 @@ class TestMaintainMst:
         changed = {e: 0.001 for e in list(graph.edges())[-6:]}
         new = handle.reweight_delta(changed)
         with pytest.raises(DeltaFallback):
-            maintain_mst(new, plan.tree, plan.mst_edges, max_swaps=0)
+            maintain_mst(plan, new.delta_changes, max_swaps=0)
 
 
 # ---------------------------------------------------------------------------
@@ -256,6 +281,30 @@ class TestDeltaDifferential:
         stats = session.stats()
         assert stats["delta_requests"] == 2
         assert stats["delta_tree_swaps"] >= 1
+
+    def test_integers_above_2_53_in_the_diff(self):
+        """The diff's new values decide the float64 route too: big
+        integers that collide as floats must be ranked exactly."""
+        import networkx as nx
+
+        big = 2**53
+        graph = nx.Graph()
+        graph.add_nodes_from(range(6))
+        graph.add_weighted_edges_from([
+            (0, 1, 4), (0, 5, 1), (1, 2, 5), (2, 3, 4), (2, 4, 5), (3, 4, 3),
+            (3, 5, 5), (4, 5, 2),
+        ])
+        nx.add_cycle(graph, [0, *range(6, 96)], weight=1)
+        diff = {(1, 2): big + 1, (0, 5): big + 5, (2, 3): big + 3,
+                (2, 4): big + 5}
+        session = SolverSession(graph, backend="fast" if HAVE_NUMPY else
+                                "reference")
+        session.solve()
+        got = session.solve(weights_delta=diff)
+        assert got.mst_weight == 18014398509482087
+        _assert_same_result(got, approximate_two_ecss(
+            _patched(graph, diff), backend=session.default_backend
+        ))
 
     def test_fallback_path_bit_identical(self):
         """A too-large diff falls back to a plain rebuild — same result."""

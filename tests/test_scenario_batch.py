@@ -226,6 +226,175 @@ def test_solve_many_groups_by_weight_fingerprint():
         assert_results_equal(result, single.solve(**query))
 
 
+def int_float_cycle():
+    """A 6-cycle weighted 1..6 plus the chord ``(0, 3)`` at 7, and its
+    weight column as ints and as the equal floats."""
+    graph = nx.cycle_graph(6)
+    for i, (u, v) in enumerate(graph.edges()):
+        graph[u][v]["weight"] = i + 1
+    graph.add_edge(0, 3, weight=7)
+    ints = [w for _, _, w in graph.edges(data="weight")]
+    return graph, ints, [float(w) for w in ints]
+
+
+@pytest.mark.parametrize("backend", COMPUTE_BACKENDS)
+def test_equal_int_and_float_columns_are_not_merged(backend):
+    """Result types follow weight types: a float column batched after an
+    equal int column must still get float results, as a solo solve."""
+    graph, ints, floats = int_float_cycle()
+    queries = [{"weights": ints}, {"weights": floats}]
+    for method in ("solve_many", "solve_batch_vectorized"):
+        results = getattr(SolverSession(graph, backend=backend), method)(
+            queries
+        )
+        for query, result in zip(queries, results):
+            solo = SolverSession(graph, backend=backend).solve(**query)
+            assert_results_equal(result, solo)
+        assert type(results[1].mst_weight) is float
+
+
+def big_int_tail_graph():
+    """Six nodes of small integer weights hanging off a 90-node cycle.
+
+    Raising four core edges past ``2**53`` (:data:`BIG_INT_TAIL_DIFF`)
+    makes their float64 casts collide, and the cut rule must still pick
+    ``(2, 3)`` over ``(0, 5)`` by exact comparison.
+    """
+    graph = nx.Graph()
+    graph.add_nodes_from(range(6))
+    graph.add_weighted_edges_from([
+        (0, 1, 4), (0, 5, 1), (1, 2, 5), (2, 3, 4), (2, 4, 5), (3, 4, 3),
+        (3, 5, 5), (4, 5, 2),
+    ])
+    nx.add_cycle(graph, [0, *range(6, 96)], weight=1)
+    return graph
+
+
+BIG_INT_TAIL_DIFF = {
+    (1, 2): 2**53 + 1, (0, 5): 2**53 + 5, (2, 3): 2**53 + 3,
+    (2, 4): 2**53 + 5,
+}
+
+
+def routing_columns(session):
+    """One column per maintenance case, each checked against a Kruskal.
+
+    Returns ``{case: column}``; the cases are a dearer tree edge that
+    keeps the tree, a cut-rule swap, a cycle-rule swap (all within the
+    delta limit), and a dense diff past ``delta_max_fraction``.
+    """
+    from repro.core.tecss import rooted_mst
+
+    plan = session.base_plan()
+    handle = plan.handle
+    base = list(handle.weights)
+    pair_index = handle._pair_index
+    tree = sorted(pair_index[e] for e in plan.mst_edges)
+    nontree = sorted(set(range(handle.m)) - set(tree))
+
+    def mst_of(column):
+        return rooted_mst(handle.reweight(column).graph)[1]
+
+    def patched(changes):
+        column = list(base)
+        for j, w in changes.items():
+            column[j] = w
+        return column
+
+    cases = {
+        "dearer tree edge": next(
+            column for column in (
+                patched({j: base[j] * 1.000001}) for j in tree
+            ) if mst_of(column) == plan.mst_edges
+        ),
+        "cut rule": patched({tree[0]: base[tree[0]] * 1000}),
+        "cycle rule": patched({nontree[0]: 0.0}),
+        "dense diff": [w * (1.1 if j % 2 else 0.9) for j, w in
+                       enumerate(base)],
+    }
+    assert mst_of(cases["cut rule"]) != plan.mst_edges
+    assert mst_of(cases["cycle rule"]) != plan.mst_edges
+    return cases
+
+
+@needs_numpy
+def test_batch_routes_each_column_like_solve_many(monkeypatch):
+    """Every maintenance route agrees with solve_many field for field;
+    only the dense diff runs a Kruskal, and the ``batch.group`` span
+    counts the columns each route took."""
+    from repro import obs
+    from repro.runtime import batch
+
+    calls = []
+    kruskal = batch.stable_kruskal_mst
+    monkeypatch.setattr(
+        batch, "stable_kruskal_mst",
+        lambda *args: calls.append(1) or kruskal(*args),
+    )
+    graph = make_family_instance("cycle_chords", 40, seed=5)
+    cases = routing_columns(SolverSession(graph, backend="fast"))
+    for case, column in cases.items():
+        queries = [{"eps": 0.5, "weights": column}, {"eps": 0.5}]
+        tracer = obs.enable()
+        try:
+            del calls[:]
+            assert_vectorized_matches_looped(graph, queries, "fast")
+        finally:
+            obs.disable()
+        group = next(
+            span for root in tracer.drain() for span in root.walk()
+            if span.name == "batch.group"
+        )
+        dense = case == "dense diff"
+        assert len(calls) == int(dense), case
+        assert group.attrs["kruskal"] == int(dense), case
+        assert group.attrs["maintained"] == 2 - int(dense), case
+
+    tail = big_int_tail_graph()
+    column = {(u, v): w for u, v, w in tail.edges(data="weight")}
+    column.update(BIG_INT_TAIL_DIFF)
+    del calls[:]
+    # validate=False: the dual certificates cannot hold at this weight
+    # spread in float64 (the scalar path raises on them too).
+    assert_vectorized_matches_looped(
+        tail, [{"eps": 0.5, "weights": column, "validate": False},
+               {"eps": 0.5, "validate": False}], "fast"
+    )
+    assert calls == []
+
+
+@needs_numpy
+def test_base_tree_group_reuses_the_base_instance(monkeypatch):
+    """Columns keeping the base tree patch the base plan's instance: no
+    TAPInstance is built from scratch, not even by a group leader."""
+    from repro.core.instance import TAPInstance
+
+    graph = make_family_instance("cycle_chords", 40, seed=5)
+    session = SolverSession(graph, backend="fast")
+    session.solve(eps=0.5)
+    base_plan = session.base_plan()
+    builds = base_plan.instance_builds
+    column = routing_columns(session)["dearer tree edge"]
+    calls = []
+    from_links = TAPInstance.from_links
+    monkeypatch.setattr(
+        TAPInstance, "from_links",
+        lambda *args, **kw: calls.append(1) or from_links(*args, **kw),
+    )
+    scaled = [w * 1.5 for w in column]
+    results = session.solve_batch_vectorized(
+        [{"eps": 0.5, "weights": column}, {"eps": 0.5, "weights": scaled}]
+    )
+    assert calls == []
+    assert base_plan.instance_builds == builds
+    for query, result in zip([column, scaled], results):
+        assert_results_equal(
+            result, SolverSession(graph, backend="fast").solve(
+                eps=0.5, weights=query
+            ),
+        )
+
+
 # ---------------------------------------------------------------------------
 # kernel/structure parity
 # ---------------------------------------------------------------------------
